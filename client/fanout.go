@@ -182,9 +182,11 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 	wg.Wait()
 
 	members := make([]dynahist.Histogram, 0, len(hists))
+	total := 0.0
 	for i, h := range hists {
 		if h != nil {
 			members = append(members, h)
+			total += g.Sites[i].Total
 		} else {
 			g.Partial = true
 			if g.Sites[i].Err == nil {
@@ -223,8 +225,10 @@ func (f *Fanout) Describe(ctx context.Context, name string, spec QuerySpec, opts
 	if err != nil {
 		return g, err
 	}
+	// The global count is the sum of the sites' exact counts; the
+	// union's bucket mass carries float drift from the superposition.
 	g.Summary = Summary{
-		Total:     sum.Total,
+		Total:     total,
 		Quantiles: sum.Quantiles,
 		CDF:       sum.CDF,
 		PDF:       sum.PDF,

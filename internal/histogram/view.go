@@ -104,12 +104,17 @@ func (v *View) MassBelow(x float64) float64 {
 }
 
 // CDF returns the approximate fraction of points ≤ x, 0 for an empty
-// view.
+// view. The bucket mass and a separately maintained total can differ
+// by float drift, so the curve is clamped to 1 and reaches exactly 1
+// at the right edge of the last bucket: it stays monotone in [0, 1].
 func (v *View) CDF(x float64) float64 {
 	if v.total <= 0 {
 		return 0
 	}
-	return v.MassBelow(x) / v.total
+	if n := len(v.buckets); n > 0 && x >= v.buckets[n-1].Right {
+		return 1
+	}
+	return min(v.MassBelow(x)/v.total, 1)
 }
 
 // PDF returns the approximate probability density at x under the

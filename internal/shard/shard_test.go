@@ -258,23 +258,22 @@ func TestMergeFailureKeepsLastGoodView(t *testing.T) {
 	if got := e.Total(); got != 1 {
 		t.Fatalf("Total = %v, want 1", got)
 	}
-	if err := e.MergeErr(); err != nil {
+	if _, err := e.View(); err != nil {
 		t.Fatalf("unexpected merge error: %v", err)
 	}
-	// Second insert makes the member's bucket list invalid: reads must
-	// keep the last good snapshot and report the merge error.
+	// Second insert makes the member's bucket list invalid: the
+	// fail-soft reads keep the last good snapshot, and View reports the
+	// merge error on every attempt while the member stays broken.
 	if err := e.Insert(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Total(); got != 1 {
 		t.Fatalf("Total after failed merge = %v, want last good 1", got)
 	}
-	if err := e.MergeErr(); err == nil {
-		t.Fatal("MergeErr = nil after failed merge")
-	}
-	// View surfaces the merge error directly — no side-channel poll.
-	if _, err := e.View(); err == nil {
-		t.Fatal("View after failed merge: want error")
+	for range 2 {
+		if _, err := e.View(); err == nil {
+			t.Fatal("View after failed merge: want error")
+		}
 	}
 }
 

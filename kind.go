@@ -3,6 +3,8 @@ package dynahist
 import (
 	"fmt"
 	"strings"
+
+	"dynahist/internal/static"
 )
 
 // Kind names every histogram this package can construct or restore —
@@ -97,34 +99,16 @@ func (k Kind) Maintained() bool {
 	return false
 }
 
-// staticKind maps a static-construction Kind onto the legacy
-// StaticKind enum of BuildStatic.
-func (k Kind) staticKind() (StaticKind, bool) {
-	switch k {
-	case KindEquiWidth:
-		return EquiWidth, true
-	case KindEquiDepth:
-		return EquiDepth, true
-	case KindCompressed:
-		return Compressed, true
-	case KindVOptimal:
-		return VOptimal, true
-	case KindSADO:
-		return SADO, true
-	case KindSSBM:
-		return SSBM, true
-	}
-	return 0, false
-}
-
-// kindOfStatic is the inverse of staticKind.
-var kindOfStatic = map[StaticKind]Kind{
-	EquiWidth:  KindEquiWidth,
-	EquiDepth:  KindEquiDepth,
-	Compressed: KindCompressed,
-	VOptimal:   KindVOptimal,
-	SADO:       KindSADO,
-	SSBM:       KindSSBM,
+// staticKinds maps each static-construction Kind onto the
+// internal/static algorithm that builds it; a Kind is static exactly
+// when it has an entry here.
+var staticKinds = map[Kind]static.Kind{
+	KindEquiWidth:  static.KindEquiWidth,
+	KindEquiDepth:  static.KindEquiDepth,
+	KindCompressed: static.KindCompressed,
+	KindVOptimal:   static.KindVOptimal,
+	KindSADO:       static.KindSADO,
+	KindSSBM:       static.KindSSBM,
 }
 
 // ParseKind returns the Kind with the given canonical name (as printed
